@@ -31,14 +31,17 @@
 //! files are comparable across containers:
 //!
 //! ```text
-//! {"bench":"density_kernel","header":true,"commit":"826e296","cpus":1,"samples":10,"min_sample_ms":10}
+//! {"bench":"density_kernel","header":true,"commit":"826e296","cpus":2,"llc":"L3 307200K","samples":10,"min_sample_ms":10}
 //! ```
 //!
 //! Headers carry `"header":true` and no `"row"` key; consumers joining
 //! on `(bench, row)` skip them naturally. `commit` is `git rev-parse
-//! --short HEAD` (`"unknown"` outside a git checkout), `cpus` the
-//! machine's available parallelism, and `samples`/`min_sample_ms` the
-//! harness configuration the run used.
+//! --short HEAD` (`"unknown"` outside a git checkout); `cpus` (the
+//! machine's available parallelism) and `llc` (the last-level cache
+//! of CPU 0 as sysfs reports it, `"unknown"` where it does not)
+//! fingerprint the host, since kernel and compression results move
+//! with cache size; `samples`/`min_sample_ms` are the harness
+//! configuration the run used.
 
 use std::cell::Cell;
 use std::io::Write as _;
@@ -162,10 +165,11 @@ impl Harness {
             return;
         }
         let header = format!(
-            "{{\"bench\":\"{}\",\"header\":true,\"commit\":\"{}\",\"cpus\":{},\"samples\":{},\"min_sample_ms\":{}}}\n",
+            "{{\"bench\":\"{}\",\"header\":true,\"commit\":\"{}\",\"cpus\":{},\"llc\":\"{}\",\"samples\":{},\"min_sample_ms\":{}}}\n",
             json_escape(&self.bench_name),
             json_escape(&git_short_commit()),
             std::thread::available_parallelism().map_or(1, |n| n.get()),
+            json_escape(&llc_size()),
             self.samples,
             self.min_sample_time.as_millis(),
         );
@@ -246,6 +250,26 @@ fn git_short_commit() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The highest-level cache of CPU 0 as `"L<level> <size>"` (sysfs
+/// spelling, e.g. `"L3 307200K"`), or `"unknown"` without sysfs.
+fn llc_size() -> String {
+    let read = |path: std::path::PathBuf| {
+        std::fs::read_to_string(path)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    let caches = std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache").into_iter();
+    caches
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            let level: u32 = read(entry.path().join("level"))?.parse().ok()?;
+            Some((level, read(entry.path().join("size"))?))
+        })
+        .max_by_key(|(level, _)| *level)
+        .map_or_else(|| "unknown".to_string(), |(l, size)| format!("L{l} {size}"))
 }
 
 /// Parse an environment-variable override, ignoring unset or
@@ -369,6 +393,7 @@ mod tests {
         assert!(lines[0].contains("\"header\":true"), "{text}");
         assert!(lines[0].contains("\"commit\":\""), "{text}");
         assert!(lines[0].contains("\"cpus\":"), "{text}");
+        assert!(lines[0].contains("\"llc\":\""), "{text}");
         assert!(!lines[0].contains("\"row\""), "headers carry no row key");
         assert!(lines[1].contains("\"row\":\"grp/row1\""), "{text}");
         assert!(lines[1].contains("\"samples\":1"));

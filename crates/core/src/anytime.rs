@@ -12,10 +12,12 @@
 //! # The progressive loop
 //!
 //! ```text
+//!  all pairs ──► sample once at full n (Batch BFS; other samplers
+//!                draw afresh inside every round)
 //!            ┌────────────────────────────────────────────────┐
 //!            │ round m = n₀, 2n₀, 4n₀, …                      │
 //!            │                                                │
-//!  undecided │  PairSetPlan::build(undecided, cfg@m)          │
+//!  undecided │  plan the m-prefix of each undecided sample    │
 //!  pairs ───►│  → fused density pass (ONE BFS / distinct ref) │
 //!            │  → score_m, budget c_m per pair                │
 //!            │  → CI: ê = score_m/c_m, project to scale(n),   │
@@ -36,16 +38,19 @@
 //! # The sample-prefix contract
 //!
 //! Escalation *extends* a pair's sample rather than resampling it:
-//! each round re-enters the planner with the pair's **content seed**
-//! unchanged, and every uniform sampler draws a sample whose first
-//! `m` nodes are a bit-identical prefix of the full-`n` stream —
-//! Batch BFS because a partial Fisher–Yates never revisits settled
-//! positions, rejection and whole-graph sampling because the
-//! accept/reject transcript up to the `m`-th accept is the same
-//! regardless of the target size (asserted in `tests/anytime.rs` and
-//! the unit tests below). Importance sampling is the exception — its
-//! multiplicity weights are not prefix-stable — so importance requests
-//! skip straight to the full-`n` round, mirroring the exact executor's
+//! every uniform sampler, seeded with the pair's **content seed**,
+//! draws a sample whose first `m` nodes are a bit-identical prefix of
+//! the full-`n` stream — Batch BFS because a partial Fisher–Yates never
+//! revisits settled positions, rejection and whole-graph sampling
+//! because the accept/reject transcript up to the `m`-th accept is the
+//! same regardless of the target size (asserted in `tests/anytime.rs`
+//! and the unit tests below). Batch BFS therefore samples each pair
+//! once, at the full `n`, and every round plans the `m`-prefix of that
+//! one sample; rejection and whole-graph requests re-enter the planner
+//! each round with the content seed unchanged (`samples_once` below
+//! says why). Importance sampling is the exception — its multiplicity
+//! weights are not prefix-stable — so importance requests skip
+//! straight to the full-`n` round, mirroring the exact executor's
 //! refusal to budget-prune weighted pairs.
 //!
 //! # eps = 0 is exact, bit for bit
@@ -61,7 +66,7 @@
 
 use crate::batch::{EventPair, PairOutcome};
 use crate::engine::{Statistic, TescEngine, TescResult};
-use crate::planner::PairSetPlan;
+use crate::planner::{PairSetPlan, SampledPairSet};
 use crate::rank::{content_seed, direction_score, score_bound, RankEntry, RankReport, RankRequest};
 use crate::sampler::SamplerKind;
 use std::collections::HashSet;
@@ -97,6 +102,26 @@ pub fn escalation_schedule(n: usize, sampler: SamplerKind) -> Vec<usize> {
     tiers
 }
 
+/// Does the progressive executor sample each pair once, at the full
+/// `n`, and plan every tier over a prefix of that sample
+/// ([`SampledPairSet::prefix`]) instead of drawing a fresh tier-`m`
+/// sample?
+///
+/// Only Batch BFS qualifies. Its cost is the enumeration of
+/// `V^h_{a∪b}`, the same at every `m`, so re-drawing per tier pays that
+/// enumeration once per tier; and its tier-`m` draw is *exactly* the
+/// `m`-prefix of its full-`n` draw, draw count included. Rejection and
+/// whole-graph sampling keep drawing per tier: their cost grows with
+/// `m`, so a small tier is cheap to draw, and their result is not a
+/// function of the prefix alone — rejection stops at a
+/// `max_draw_factor × m` draw budget, so the `n`-draw's prefix differs
+/// from the `m`-draw whenever that budget binds, and whole-graph
+/// sampling reports the draws spent up to its `m`-th hit. Importance
+/// sampling runs the single full-`n` tier anyway.
+fn samples_once(sampler: SamplerKind) -> bool {
+    matches!(sampler, SamplerKind::BatchBfs)
+}
+
 /// A pair whose projected score was frozen before the final round.
 struct FrozenIn {
     index: usize,
@@ -111,10 +136,13 @@ struct FrozenIn {
 ///
 /// # Budget semantics
 ///
-/// The engine's [`tesc_graph::Budget`] is checked before every
-/// escalation tier (with a predictive skip: a tier is not even started
-/// when less time remains than the *previous, half-sized* tier took)
-/// and per pair inside every scoring loop. When the budget runs out
+/// The engine's [`tesc_graph::Budget`] is checked per pair while
+/// sampling, before every escalation tier (with a predictive skip: a
+/// tier is not even started when less time remains than the
+/// *previous, half-sized* tier took) and per pair inside every scoring
+/// loop. A tier's wall covers its planning, density pass and scoring;
+/// under Batch BFS it excludes sampling, which ran once before the
+/// first tier. When the budget runs out
 /// after at least one tier completed, the executor *degrades*: it
 /// returns `Ok` with [`RankReport::degraded`] set, ranking the frozen
 /// IN pairs, any final-round survivors already scored at full `n`, and
@@ -166,6 +194,11 @@ pub(crate) fn rank_pairs_anytime<G: Adjacency>(
         };
     }
 
+    // Batch BFS pays its sampling once, up front: every tier below
+    // plans a prefix of this one full-n sample (see `samples_once`).
+    let sampled = samples_once(req.cfg.sampler)
+        .then(|| SampledPairSet::sample(engine, &req.pairs, &req.cfg, &seeds, threads));
+
     'tiers: for (tier, &m) in schedule.iter().enumerate() {
         if undecided.is_empty() {
             break;
@@ -191,10 +224,16 @@ pub(crate) fn rank_pairs_anytime<G: Adjacency>(
         let tier_start = Instant::now();
         let is_final = tier + 1 == schedule.len();
         let cfg_m = req.cfg.with_sample_size(m);
-        let sub_pairs: Vec<EventPair> = undecided.iter().map(|&i| req.pairs[i].clone()).collect();
-        let sub_seeds: Vec<u64> = undecided.iter().map(|&i| seeds[i]).collect();
-        let sub_threads = threads.clamp(1, sub_pairs.len());
-        let plan = PairSetPlan::build(engine, &sub_pairs, &cfg_m, &sub_seeds, sub_threads);
+        let sub_threads = threads.clamp(1, undecided.len());
+        let plan = match &sampled {
+            Some(sampled) => sampled.prefix(&undecided, m),
+            None => {
+                let sub_pairs: Vec<EventPair> =
+                    undecided.iter().map(|&i| req.pairs[i].clone()).collect();
+                let sub_seeds: Vec<u64> = undecided.iter().map(|&i| seeds[i]).collect();
+                PairSetPlan::build(engine, &sub_pairs, &cfg_m, &sub_seeds, sub_threads)
+            }
+        };
         let fused = match plan.run_density_budgeted(sub_threads, budget) {
             Ok(fused) => fused,
             Err(i) => {

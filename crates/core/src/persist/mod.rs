@@ -661,6 +661,75 @@ mod tests {
     }
 
     #[test]
+    fn rejected_append_is_never_recovered() {
+        let dir = tmp_dir("rejected");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let (graph, events) = sample_state();
+        store.write_snapshot(1, &graph, &events).unwrap();
+        let mut w = WalWriter::create(&dir.join(segment_file_name(1)), 1, true).unwrap();
+        w.append(
+            2,
+            &WalRecord::AddEdges {
+                edges: vec![(0, 24)],
+            },
+        )
+        .unwrap();
+        let acknowledged = w.bytes();
+        // Version 3's frame is written but its sync fails: the commit
+        // is reported failed, so it must not survive a restart.
+        w.fail_syncs = 1;
+        let rejected = WalRecord::AddEdges {
+            edges: vec![(0, 12)],
+        };
+        assert!(w.append(3, &rejected).is_err());
+        assert_eq!(w.bytes(), acknowledged);
+        assert_eq!(fs::metadata(w.path()).unwrap().len(), acknowledged);
+        let rec = store.recover().unwrap().unwrap();
+        assert_eq!(rec.version, 2);
+        assert!(!rec.graph.has_edge(0, 12), "rejected commit replayed");
+        // The writer stays usable: a retried version 3 is a new commit.
+        w.append(
+            3,
+            &WalRecord::AddEdges {
+                edges: vec![(0, 18)],
+            },
+        )
+        .unwrap();
+        let rec = store.recover().unwrap().unwrap();
+        assert_eq!(rec.version, 3);
+        assert!(rec.graph.has_edge(0, 18));
+        assert!(!rec.graph.has_edge(0, 12), "rejected commit replayed");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rollback_fails_every_later_append() {
+        let dir = tmp_dir("rollback");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let (graph, events) = sample_state();
+        store.write_snapshot(1, &graph, &events).unwrap();
+        let mut w = WalWriter::create(&dir.join(segment_file_name(1)), 1, true).unwrap();
+        w.append(
+            2,
+            &WalRecord::AddEdges {
+                edges: vec![(0, 24)],
+            },
+        )
+        .unwrap();
+        // Both the append's sync and the rollback's sync fail.
+        w.fail_syncs = 2;
+        let record = WalRecord::AddEdges {
+            edges: vec![(0, 12)],
+        };
+        assert!(w.append(3, &record).is_err());
+        let len = fs::metadata(w.path()).unwrap().len();
+        assert!(w.append(3, &record).is_err(), "failed writer appended");
+        assert_eq!(fs::metadata(w.path()).unwrap().len(), len, "wrote bytes");
+        assert_eq!(store.recover().unwrap().unwrap().version, 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_newest_snapshot_falls_back_to_previous() {
         let dir = tmp_dir("fallback");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();

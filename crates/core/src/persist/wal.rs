@@ -268,6 +268,13 @@ pub struct WalWriter {
     fsync: bool,
     records: u64,
     bytes: u64,
+    /// Set when a failed append could not be rolled back: the segment
+    /// may still hold the rejected frame, so every later append fails
+    /// without writing.
+    failed: bool,
+    /// Test failpoint: how many upcoming syncs fail.
+    #[cfg(test)]
+    pub(crate) fail_syncs: u32,
 }
 
 impl WalWriter {
@@ -293,6 +300,9 @@ impl WalWriter {
             fsync,
             records: 0,
             bytes: WAL_HEADER_LEN as u64,
+            failed: false,
+            #[cfg(test)]
+            fail_syncs: 0,
         })
     }
 
@@ -311,23 +321,62 @@ impl WalWriter {
             fsync,
             records,
             bytes: clean_len,
+            failed: false,
+            #[cfg(test)]
+            fail_syncs: 0,
         })
     }
 
     /// Append one record and flush it to stable storage (when `fsync`
     /// is on). Returns only after the bytes are durable — callers
     /// publish the new version strictly after this returns.
+    ///
+    /// A failed append leaves no trace: the segment is truncated back
+    /// to its last acknowledged frame (and synced), so recovery never
+    /// replays a record its writer was told had failed. If that
+    /// rollback fails too, the writer is marked failed and refuses
+    /// every later append.
     pub fn append(&mut self, seq: u64, record: &WalRecord) -> std::io::Result<()> {
-        use std::io::Seek;
+        if self.failed {
+            return Err(std::io::Error::other(
+                "WAL writer failed: an earlier rejected record could not be rolled back",
+            ));
+        }
         let frame = encode_record(seq, record);
-        self.file.seek(std::io::SeekFrom::Start(self.bytes))?;
-        self.file.write_all(&frame)?;
-        if self.fsync {
-            self.file.sync_data()?;
+        if let Err(e) = self.write_frame(&frame) {
+            if self.roll_back().is_err() {
+                self.failed = true;
+            }
+            return Err(e);
         }
         self.records += 1;
         self.bytes += frame.len() as u64;
         Ok(())
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
+        use std::io::Seek;
+        self.file.seek(std::io::SeekFrom::Start(self.bytes))?;
+        self.file.write_all(frame)?;
+        self.sync()
+    }
+
+    /// Truncate the segment back to its acknowledged length.
+    fn roll_back(&mut self) -> std::io::Result<()> {
+        self.file.set_len(self.bytes)?;
+        self.sync()
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        if !self.fsync {
+            return Ok(());
+        }
+        #[cfg(test)]
+        if self.fail_syncs > 0 {
+            self.fail_syncs -= 1;
+            return Err(std::io::Error::other("injected sync failure"));
+        }
+        self.file.sync_data()
     }
 
     /// Records appended to this segment (including pre-existing ones

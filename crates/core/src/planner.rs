@@ -57,7 +57,9 @@
 //! (`Σ_i n_i` sampled vs [`PairSetPlan::distinct_refs`] distinct).
 //!
 //! The planner backs [`crate::batch::run_batch`]'s parallel path and
-//! the [`crate::rank`] top-K subsystem.
+//! the [`crate::rank`] top-K subsystem. The anytime executor splits
+//! stage (a): it samples every pair once and derives one workset per
+//! escalation tier over a prefix of each sample.
 
 use crate::batch::{EventPair, PairOutcome};
 use crate::cache::{CachedCount, DensityCache, EventKey, ProbeGovernor};
@@ -67,6 +69,7 @@ use crate::sampler::{importance_sample, SamplerKind, UniformSample, WeightedSamp
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tesc_events::{store::merge_union, NodeMask};
 use tesc_graph::{Adjacency, Budget, CsrGraph, Interrupted, NodeId};
 
@@ -160,14 +163,7 @@ pub struct PairSetPlan<'e, 'g, G = CsrGraph> {
     engine: &'e TescEngine<'g, G>,
     cfg: TescConfig,
     pairs: Vec<PlannedPair>,
-    /// Content-addressed registry of distinct events (+ importance
-    /// unions); `keys[s]` and `masks[s]` describe slot `s`.
-    keys: Vec<EventKey>,
-    masks: Vec<NodeMask>,
-    /// Registry masks translated into the relabeled substrate's id
-    /// space, present iff the engine carries a relabeled substrate —
-    /// translated once per distinct event, not once per pair.
-    substrate_masks: Option<Vec<NodeMask>>,
+    registry: Arc<EventRegistry>,
     /// Distinct reference-node workset, ascending.
     nodes: Vec<NodeId>,
     /// `slot_lists[i]` = sorted distinct event slots node `nodes[i]`
@@ -176,19 +172,35 @@ pub struct PairSetPlan<'e, 'g, G = CsrGraph> {
     sampled_refs: usize,
 }
 
-impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
-    /// Stage (a): sample every pair (pair `i` draws from
-    /// `StdRng::seed_from_u64(seeds[i])`, exactly like
-    /// [`TescEngine::test`] would with that RNG), register the
-    /// distinct events, and derive the deduplicated reference
-    /// workset. Sampling fans out over `threads` scoped workers with
-    /// indexed output slots, so the plan is independent of thread
-    /// count and schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `seeds.len() == pairs.len()`.
-    pub fn build(
+/// Content-addressed registry of a pair set's distinct events (+
+/// importance unions): `keys[s]` and `masks[s]` describe slot `s`.
+/// Shared, not copied, by every plan derived from one sampled set.
+struct EventRegistry {
+    keys: Vec<EventKey>,
+    masks: Vec<NodeMask>,
+    /// Registry masks translated into the relabeled substrate's id
+    /// space, present iff the engine carries a relabeled substrate —
+    /// translated once per distinct event, not once per pair.
+    substrate_masks: Option<Vec<NodeMask>>,
+}
+
+/// Stage (a) without the workset: every pair's reference sample and
+/// the event registry. [`PairSetPlan::build`] derives the workset over
+/// all pairs at once; the anytime executor instead derives one per
+/// escalation tier, over a prefix of each undecided pair's sample
+/// ([`SampledPairSet::prefix`]).
+pub(crate) struct SampledPairSet<'e, 'g, G = CsrGraph> {
+    engine: &'e TescEngine<'g, G>,
+    cfg: TescConfig,
+    pairs: Vec<PlannedPair>,
+    registry: Arc<EventRegistry>,
+}
+
+impl<'e, 'g, G: Adjacency> SampledPairSet<'e, 'g, G> {
+    /// Sample every pair (pair `i` draws from
+    /// `StdRng::seed_from_u64(seeds[i])`) and register the distinct
+    /// events. See [`PairSetPlan::build`].
+    pub(crate) fn sample(
         engine: &'e TescEngine<'g, G>,
         pairs: &[EventPair],
         cfg: &TescConfig,
@@ -235,7 +247,115 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             });
         }
 
-        // Deduplicated reference workset: distinct node → slots.
+        let substrate_masks = engine
+            .relabeled()
+            .map(|rel| masks.iter().map(|m| translate_mask(rel.map(), m)).collect());
+        SampledPairSet {
+            engine,
+            cfg: *cfg,
+            pairs: planned,
+            registry: Arc::new(EventRegistry {
+                keys,
+                masks,
+                substrate_masks,
+            }),
+        }
+    }
+
+    /// The tier-`m` plan of the pairs at `pairs` (indices into this
+    /// set, in the order the plan lists them): each listed pair's
+    /// uniform sample cut to its first `m` nodes, the event registry
+    /// shared, and the reference workset derived for just those pairs.
+    ///
+    /// For a set sampled with Batch BFS this equals a fresh
+    /// [`PairSetPlan::build`] of the same pairs at sample size `m` with
+    /// the same seeds — vectors, outcomes, `sampled_refs` and
+    /// `distinct_refs` alike — because a partial Fisher–Yates over the
+    /// same population never revisits a settled position, and its
+    /// draw count is its sample length. [`crate::anytime`] states which
+    /// samplers may use it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an importance-sampled pair: weighted samples have no
+    /// prefix property.
+    pub(crate) fn prefix(&self, pairs: &[usize], m: usize) -> PairSetPlan<'e, 'g, G> {
+        let planned = pairs
+            .iter()
+            .map(|&i| {
+                let pair = &self.pairs[i];
+                let state = match &pair.state {
+                    Err(e) => Err(e.clone()),
+                    Ok(PlannedState::Uniform {
+                        sample,
+                        slot_a,
+                        slot_b,
+                    }) => {
+                        let nodes = sample.nodes[..m.min(sample.nodes.len())].to_vec();
+                        if nodes.len() < 3 {
+                            Err(TescError::TooFewReferenceNodes { found: nodes.len() })
+                        } else {
+                            Ok(PlannedState::Uniform {
+                                sample: UniformSample {
+                                    draws: nodes.len(),
+                                    nodes,
+                                    population_size: sample.population_size,
+                                },
+                                slot_a: *slot_a,
+                                slot_b: *slot_b,
+                            })
+                        }
+                    }
+                    Ok(PlannedState::Weighted { .. }) => {
+                        panic!("importance samples have no prefix property")
+                    }
+                };
+                PlannedPair {
+                    label: pair.label.clone(),
+                    state,
+                }
+            })
+            .collect();
+        PairSetPlan::with_workset(
+            self.engine,
+            self.cfg.with_sample_size(m),
+            planned,
+            Arc::clone(&self.registry),
+        )
+    }
+}
+
+impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
+    /// Stage (a): sample every pair (pair `i` draws from
+    /// `StdRng::seed_from_u64(seeds[i])`, exactly like
+    /// [`TescEngine::test`] would with that RNG), register the
+    /// distinct events, and derive the deduplicated reference
+    /// workset. Sampling fans out over `threads` scoped workers with
+    /// indexed output slots, so the plan is independent of thread
+    /// count and schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `seeds.len() == pairs.len()`.
+    pub fn build(
+        engine: &'e TescEngine<'g, G>,
+        pairs: &[EventPair],
+        cfg: &TescConfig,
+        seeds: &[u64],
+        threads: usize,
+    ) -> Self {
+        let sampled = SampledPairSet::sample(engine, pairs, cfg, seeds, threads);
+        Self::with_workset(engine, *cfg, sampled.pairs, sampled.registry)
+    }
+
+    /// Derive the deduplicated reference workset (distinct node →
+    /// sorted event slots) of `planned` over `registry`.
+    fn with_workset(
+        engine: &'e TescEngine<'g, G>,
+        cfg: TescConfig,
+        planned: Vec<PlannedPair>,
+        registry: Arc<EventRegistry>,
+    ) -> Self {
         let mut node_slots: HashMap<NodeId, Vec<u32>> = HashMap::new();
         let mut sampled_refs = 0usize;
         for p in &planned {
@@ -270,17 +390,11 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             })
             .collect();
 
-        let substrate_masks = engine
-            .relabeled()
-            .map(|rel| masks.iter().map(|m| translate_mask(rel.map(), m)).collect());
-
         PairSetPlan {
             engine,
-            cfg: *cfg,
+            cfg,
             pairs: planned,
-            keys,
-            masks,
-            substrate_masks,
+            registry,
             nodes,
             slot_lists,
             sampled_refs,
@@ -298,7 +412,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// across the pair set.
     #[inline]
     pub fn num_events(&self) -> usize {
-        self.keys.len()
+        self.registry.keys.len()
     }
 
     /// Size of the deduplicated reference workset — the number of
@@ -321,7 +435,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
     /// substrate/kernel, mirroring the per-pair `density_plan`.
     fn multi_plan(&self) -> MultiKernelPlan<'_, G> {
         let h = self.cfg.h;
-        match (self.engine.relabeled(), &self.substrate_masks) {
+        match (self.engine.relabeled(), &self.registry.substrate_masks) {
             (Some(rel), Some(tm)) => MultiKernelPlan {
                 graph: rel.graph(),
                 masks: tm,
@@ -331,7 +445,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
             },
             _ => MultiKernelPlan {
                 graph: self.engine.graph(),
-                masks: &self.masks,
+                masks: &self.registry.masks,
                 translate: None,
                 use_bitset: self
                     .engine
@@ -403,7 +517,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
         // distinct event — via the engine's own grouped-plan helpers,
         // so substrate resolution cannot drift between the per-pair
         // and fused paths.
-        let key_sets: Vec<&[NodeId]> = self.keys.iter().map(|k| k.nodes()).collect();
+        let key_sets: Vec<&[NodeId]> = self.registry.keys.iter().map(|k| k.nodes()).collect();
         let slot_nodes = self.engine.group_slot_nodes(&key_sets);
         let gplan = self.engine.group_plan(&slot_nodes, h);
         let cache: Option<&DensityCache> = self.engine.density_cache().map(|c| c.as_ref());
@@ -428,7 +542,9 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                 let mut hits: Vec<Option<CachedCount>> = Vec::new();
                 if governor.engaged() {
                     let all = cache.lookup_many(
-                        self.slot_lists[i].iter().map(|&s| &self.keys[s as usize]),
+                        self.slot_lists[i]
+                            .iter()
+                            .map(|&s| &self.registry.keys[s as usize]),
                         self.nodes[i],
                         h,
                         &mut hits,
@@ -499,7 +615,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                         None => {
                             bulk.push((
                                 r,
-                                &self.keys[s as usize],
+                                &self.registry.keys[s as usize],
                                 CachedCount {
                                     vicinity_size: size,
                                     count: fresh[j],
@@ -580,7 +696,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                 // insert — once measured sharing stops paying for it.
                 let all = if governor.engaged() {
                     let all = cache.lookup_many(
-                        slots.iter().map(|&s| &self.keys[s as usize]),
+                        slots.iter().map(|&s| &self.registry.keys[s as usize]),
                         r,
                         h,
                         &mut hits,
@@ -627,7 +743,7 @@ impl<'e, 'g, G: Adjacency> PairSetPlan<'e, 'g, G> {
                         }
                         None => {
                             cache.insert(
-                                &self.keys[s as usize],
+                                &self.registry.keys[s as usize],
                                 r,
                                 h,
                                 CachedCount {
@@ -1051,6 +1167,101 @@ mod tests {
                     ref_outcomes, outcomes,
                     "group size {group_size} at {threads} threads"
                 );
+            }
+        }
+    }
+
+    fn vector_bits(vectors: &PairVectors) -> Vec<u64> {
+        match vectors {
+            PairVectors::Uniform { sa, sb } => sa.iter().chain(sb).map(|x| x.to_bits()).collect(),
+            PairVectors::Weighted { .. } => unreachable!("uniform samplers only"),
+        }
+    }
+
+    /// The anytime executor's tier plans: a prefix view of one full-n
+    /// Batch BFS sample must equal a fresh build at the tier size, for
+    /// every tier, over the kernel × relabel × cache × threads matrix.
+    #[test]
+    fn prefix_view_equals_fresh_build_at_every_tier() {
+        let g = barabasi_albert(1500, 3, &mut StdRng::seed_from_u64(21));
+        let pairs = pairs_sharing_events(1500, 22);
+        let n = 300;
+        let cfg = TescConfig::new(2).with_sample_size(n);
+        let seeds: Vec<u64> = (0..pairs.len()).map(|i| pair_seed(5, i)).collect();
+        let cache = Arc::new(DensityCache::for_graph(&g));
+        let engines = [
+            ("plain", TescEngine::new(&g)),
+            (
+                "scalar",
+                TescEngine::new(&g).with_density_kernel(BfsKernel::Scalar),
+            ),
+            (
+                "bitset",
+                TescEngine::new(&g).with_density_kernel(BfsKernel::Bitset),
+            ),
+            (
+                "multi",
+                TescEngine::new(&g).with_density_kernel(BfsKernel::Multi),
+            ),
+            (
+                "bitset+relabel",
+                TescEngine::new(&g)
+                    .with_density_kernel(BfsKernel::Bitset)
+                    .with_relabeling(true),
+            ),
+            (
+                "multi+relabel",
+                TescEngine::new(&g)
+                    .with_density_kernel(BfsKernel::Multi)
+                    .with_relabeling(true),
+            ),
+            ("cache", TescEngine::new(&g).with_density_cache(cache)),
+        ];
+        // Every pair (the first tier), and a sparse undecided subset
+        // that includes the failing "empty" pair.
+        let subsets: [Vec<usize>; 2] = [(0..pairs.len()).collect(), vec![1, 3, 5]];
+        let schedule = crate::anytime::escalation_schedule(n, SamplerKind::BatchBfs);
+        assert_eq!(schedule, [75, 150, 300]);
+        for (name, engine) in &engines {
+            for threads in [1usize, 4] {
+                let sampled = SampledPairSet::sample(engine, &pairs, &cfg, &seeds, threads);
+                for &m in &schedule {
+                    for subset in &subsets {
+                        let context = format!("{name} @ {threads}t, m {m}, pairs {subset:?}");
+                        let view = sampled.prefix(subset, m);
+                        let sub_pairs: Vec<EventPair> =
+                            subset.iter().map(|&i| pairs[i].clone()).collect();
+                        let sub_seeds: Vec<u64> = subset.iter().map(|&i| seeds[i]).collect();
+                        let fresh = PairSetPlan::build(
+                            engine,
+                            &sub_pairs,
+                            &cfg.with_sample_size(m),
+                            &sub_seeds,
+                            threads,
+                        );
+                        assert_eq!(view.sampled_refs(), fresh.sampled_refs(), "{context}");
+                        assert_eq!(view.distinct_refs(), fresh.distinct_refs(), "{context}");
+                        let view_fused = view.run_density(threads);
+                        let fresh_fused = fresh.run_density(threads);
+                        for pos in 0..subset.len() {
+                            match (
+                                view.vectors(pos, &view_fused),
+                                fresh.vectors(pos, &fresh_fused),
+                            ) {
+                                (Ok(a), Ok(b)) => {
+                                    assert_eq!(vector_bits(&a), vector_bits(&b), "{context}")
+                                }
+                                (Err(a), Err(b)) => assert_eq!(a, b, "{context}"),
+                                _ => panic!("{context}: pair {pos} failed on one side only"),
+                            }
+                        }
+                        assert_eq!(
+                            view.finish(&view_fused),
+                            fresh.finish(&fresh_fused),
+                            "{context}"
+                        );
+                    }
+                }
             }
         }
     }
