@@ -7,16 +7,18 @@
 //! the claim: starting from a DBLP-like graph, ingest batches of
 //! random new edges and time
 //!
-//! * `ingest` — `TescContext::add_edges` (CSR rebuild + per-node
-//!   refresh of the dirty region only), and
+//! * `ingest` — `TescContext::add_edges` (the delta merged into the
+//!   CSR rows, then a per-node refresh of the dirty region only: the
+//!   nodes within `h − 1` hops of the new edges' endpoints), and
 //! * `rebuild` — a full `VicinityIndex::build` over the new graph,
 //!
 //! verifying after every batch that both routes produce identical
-//! indexes. Output format (TSV-ish, one row per batch size):
+//! indexes; any difference exits 1, so a run at `--h 1` and one at
+//! `--h 3` check both ends of the dirty-region bound. Output format (TSV-ish, one row per batch size):
 //!
 //! ```text
 //! h  batch_edges  ingest_ms  rebuild_ms  speedup  identical
-//! 2  16           3.1        412.7       133.1    yes
+//! 2  16           0.7        2.1         2.8      yes
 //! ```
 //!
 //! `speedup` > 1 means incremental ingestion beats rebuilding; the gap

@@ -15,11 +15,14 @@
 //!   against the graph/index/events triple it started with, even while
 //!   writers publish newer versions (the snapshot-separation idea of
 //!   HTAP designs, scaled to this library).
-//! * **Writers are incremental.** `add_edges` re-derives only the
-//!   dirty region of the vicinity index via the per-node rebuild path
-//!   of [`VicinityIndex::refresh`] — cost proportional to the
-//!   perturbed neighborhood, not `|V|` BFS sweeps. Event ingestion
-//!   reuses the graph and index entirely.
+//! * **Writers are incremental.** `add_edges` merges the delta into
+//!   the CSR rows ([`CsrGraph::with_edges`]: one copy pass, no
+//!   re-sort of `|E|` edges) and re-derives only the dirty region of
+//!   the vicinity index — the nodes within `h_m − 1` hops of the new
+//!   edges' endpoints, via the per-node rebuild path of
+//!   [`VicinityIndex::refresh`] — so its cost follows the delta and
+//!   its neighborhood, not `|V|` BFS sweeps. Event ingestion reuses
+//!   the graph and index entirely.
 //! * **Each snapshot carries a cross-pair [`DensityCache`]** shared by
 //!   every engine derived from it. Graph-changing ingests get a fresh
 //!   cache (memoized vicinity counts can never leak across graph
@@ -511,13 +514,14 @@ impl TescContext {
         }
     }
 
-    /// Ingest an edge delta: validate, rebuild the CSR, incrementally
-    /// refresh the vicinity index around the touched endpoints (the
-    /// per-node rebuild path of [`VicinityIndex::refresh`]) and
-    /// publish the result as the next version. Edges already present
-    /// are ignored; a delta with no genuinely new edge returns the
-    /// current snapshot unchanged (no version bump). Readers holding
-    /// older snapshots are unaffected.
+    /// Ingest an edge delta: validate, merge the new edges into the
+    /// CSR rows ([`CsrGraph::with_edges`]), refresh the vicinity index
+    /// for the nodes within `h_m − 1` hops of the touched endpoints
+    /// (the per-node rebuild path of [`VicinityIndex::refresh`]), log
+    /// the delta when durable, and publish the result as the next
+    /// version. Edges already present are ignored; a delta with no
+    /// genuinely new edge returns the current snapshot unchanged (no
+    /// version bump). Readers holding older snapshots are unaffected.
     pub fn add_edges(&self, edges: &[(NodeId, NodeId)]) -> Result<Arc<Snapshot>, IngestError> {
         let _writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
@@ -747,6 +751,29 @@ impl TescContext {
             .expect("durability lock poisoned")
             .as_ref()
             .map(|d| d.records_since_checkpoint())
+    }
+
+    /// Whether the WAL writer has failed for good, so that every later
+    /// commit fails (`None` without an attached data directory).
+    pub fn wal_writer_failed(&self) -> Option<bool> {
+        self.durability
+            .lock()
+            .expect("durability lock poisoned")
+            .as_ref()
+            .map(|d| d.writer_failed())
+    }
+
+    /// Test failpoint: the next `n` WAL syncs fail.
+    #[cfg(test)]
+    pub(crate) fn fail_wal_syncs(&self, n: u32) {
+        if let Some(d) = self
+            .durability
+            .lock()
+            .expect("durability lock poisoned")
+            .as_mut()
+        {
+            d.fail_syncs(n);
+        }
     }
 }
 

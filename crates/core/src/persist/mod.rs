@@ -576,6 +576,18 @@ impl Durability {
     pub fn dir(&self) -> &Path {
         self.store.dir()
     }
+
+    /// Has the active WAL writer failed for good (see
+    /// [`WalWriter::failed`])? Every later commit then fails.
+    pub fn writer_failed(&self) -> bool {
+        self.writer.failed()
+    }
+
+    /// Test failpoint: the next `n` WAL syncs fail.
+    #[cfg(test)]
+    pub(crate) fn fail_syncs(&mut self, n: u32) {
+        self.writer.fail_syncs = n;
+    }
 }
 
 // Re-exported at the module root for callers: `tesc::persist::{...}`.

@@ -394,6 +394,12 @@ impl WalWriter {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// Has a failed append's rollback failed too? Such a writer
+    /// refuses every later append.
+    pub fn failed(&self) -> bool {
+        self.failed
+    }
 }
 
 #[cfg(test)]

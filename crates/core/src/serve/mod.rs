@@ -467,6 +467,65 @@ mod tests {
         assert!(queue.push(c4).is_ok(), "popping frees a slot");
     }
 
+    use json::Json;
+
+    /// One request on a fresh `Connection: close` socket: `(status, body)`.
+    fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
+        use std::io::Read;
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        let (head, body) = raw.split_once("\r\n\r\n").unwrap();
+        let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+        (status, Json::parse(body).unwrap())
+    }
+
+    fn durability_stats(addr: SocketAddr) -> (bool, bool) {
+        let (status, stats) = request(addr, "GET", "/stats", "");
+        assert_eq!(status, 200);
+        let d = stats.get("durability").expect("durability object");
+        let flag = |key| d.get(key).and_then(Json::as_bool).unwrap();
+        (flag("attached"), flag("writer_failed"))
+    }
+
+    #[test]
+    fn stats_report_a_failed_wal_writer() {
+        let ctx = || TescContext::new(tesc_graph::generators::grid(6, 6), Default::default(), 1);
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn(ctx(), cfg.clone()).unwrap();
+        assert_eq!(durability_stats(server.addr()), (false, false));
+        server.shutdown_and_join();
+
+        let dir =
+            std::env::temp_dir().join(format!("tesc-serve-durability-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let durable = ctx()
+            .with_durability(&dir, crate::persist::StoreOptions::default())
+            .unwrap();
+        let server = Server::spawn(durable, cfg).unwrap();
+        let addr = server.addr();
+        assert_eq!(durability_stats(addr), (true, false));
+        // The append's sync and its rollback's sync both fail.
+        server.state.ctx.fail_wal_syncs(2);
+        request(addr, "POST", "/edges", r#"{"edges":[[0,35]]}"#);
+        let (status, _) = request(addr, "POST", "/commit", "");
+        assert!(status >= 500, "commit on a failing WAL answered {status}");
+        assert_eq!(durability_stats(addr), (true, true));
+        server.shutdown_and_join();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn closed_queue_drains_then_ends() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -891,6 +891,13 @@ fn handle_stats(state: &ServerState) -> Response {
                     ("events", Json::Int(staged.events.len() as i64)),
                 ]),
             ),
+            ("durability", {
+                let writer_failed = state.ctx.wal_writer_failed();
+                obj([
+                    ("attached", Json::Bool(writer_failed.is_some())),
+                    ("writer_failed", Json::Bool(writer_failed == Some(true))),
+                ])
+            }),
         ])
         .encode(),
     )

@@ -159,18 +159,54 @@ impl CsrGraph {
     /// edges are no-ops). This is the snapshot-ingestion primitive:
     /// the receiver is untouched, so readers holding it keep a
     /// consistent view while the returned graph becomes the next
-    /// version. Cost is a full `O(|V| + |E|)` CSR rebuild — cheap next
-    /// to the vicinity-index refresh that follows it in the ingestion
-    /// path.
+    /// version.
+    ///
+    /// One `O(|V| + |E| + k log k)` pass for a `k`-edge delta: every
+    /// row is copied as is, and the few rows the delta touches get
+    /// their new neighbours merged in. The result is identical to
+    /// rebuilding through [`CsrGraph::to_builder`] (same arrays, same
+    /// [`CsrGraph::fingerprint`]) without re-sorting `|E|` edges.
     ///
     /// # Panics
     ///
     /// Panics on self-loops or out-of-range endpoints (validate with
     /// [`CsrGraph::check_edges`] first on untrusted input).
     pub fn with_edges(&self, extra: &[(NodeId, NodeId)]) -> CsrGraph {
-        let mut b = self.to_builder();
-        b.extend_edges(extra.iter().copied());
-        b.build()
+        let n = self.num_nodes();
+        // Both orientations of every genuinely new edge, sorted by
+        // (row, neighbour): each row's additions form one sorted run.
+        let mut delta = Vec::with_capacity(2 * extra.len());
+        for &(u, v) in extra {
+            assert_ne!(u, v, "self-loop at node {u}");
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u},{v}) out of range for {n} nodes"
+            );
+            if !self.has_edge(u, v) {
+                delta.extend([(u, v), (v, u)]);
+            }
+        }
+        delta.sort_unstable();
+        delta.dedup();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(self.neighbors.len() + delta.len());
+        let mut rest = &delta[..];
+        for v in 0..n as NodeId {
+            let start = neighbors.len();
+            offsets.push(start as u64);
+            neighbors.extend_from_slice(self.neighbors(v));
+            let added = rest.partition_point(|&(row, _)| row == v);
+            if added > 0 {
+                neighbors.extend(rest[..added].iter().map(|&(_, w)| w));
+                neighbors[start..].sort_unstable();
+                rest = &rest[added..];
+            }
+        }
+        offsets.push(neighbors.len() as u64);
+        CsrGraph {
+            offsets: offsets.into_boxed_slice(),
+            neighbors: neighbors.into_boxed_slice(),
+        }
     }
 
     /// The same graph under an id permutation: node `v` of the result
@@ -552,6 +588,48 @@ mod tests {
             g2,
             from_edges(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (0, 4)])
         );
+    }
+
+    #[test]
+    fn with_edges_equals_builder_rebuild() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(2usize..60);
+            let mut random_edges = |count: usize| -> Vec<(NodeId, NodeId)> {
+                (0..count)
+                    .map(|_| (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId)))
+                    .filter(|(u, v)| u != v)
+                    .collect()
+            };
+            let g = from_edges(n, &random_edges(3 * n));
+            let mut delta = random_edges(case as usize % 12);
+            // Duplicates, reversed pairs and edges already present.
+            delta.extend(delta.clone().into_iter().map(|(u, v)| (v, u)));
+            delta.extend(g.edges().take(3));
+            let mut b = g.to_builder();
+            b.extend_edges(delta.iter().copied());
+            let rebuilt = b.build();
+            let merged = g.with_edges(&delta);
+            assert_eq!(merged, rebuilt, "case {case}");
+            assert_eq!(merged.fingerprint(), rebuilt.fingerprint(), "case {case}");
+            assert_eq!(g.with_edges(&[]), g, "case {case}: empty delta");
+        }
+        let empty = from_edges(0, &[]);
+        assert_eq!(empty.with_edges(&[]), empty);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop at node 2")]
+    fn with_edges_rejects_self_loop() {
+        let _ = triangle_plus_tail().with_edges(&[(0, 4), (2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (0,9) out of range for 5 nodes")]
+    fn with_edges_rejects_out_of_range() {
+        let _ = triangle_plus_tail().with_edges(&[(0, 9)]);
     }
 
     #[test]

@@ -189,31 +189,28 @@ impl VicinityIndex {
         nodes.iter().map(|&v| self.size(v, h) as u64).sum()
     }
 
-    /// Incrementally refresh after the graph changed near `touched`
-    /// nodes (typically the endpoints of added/removed edges).
+    /// Incrementally refresh after the edges between `touched` nodes
+    /// changed. `touched` must hold every endpoint of every added or
+    /// removed edge; other nodes may be included.
     ///
-    /// Any node whose `h`-vicinity could have changed lies within
-    /// `max_level` hops of a touched node in the old *or* new graph, so
-    /// we recompute exactly that dirty set against `g_new`. Pass the
-    /// pre-change graph as `g_old` when edges were removed (the dirty
-    /// region must be discovered through the now-deleted edges too).
+    /// Only nodes within `max_level − 1` hops of a touched node are
+    /// recomputed, against `g_new`. That region is exact: an added
+    /// edge `{u, v}` can put `x` into `V^k_w` only along a path
+    /// `w … u – v … x` of length `≤ k ≤ max_level`, so
+    /// `d(w, u) ≤ max_level − 1`; a removed edge is the same argument
+    /// in the old graph. Taking `{u, v}` as the *first* changed edge on
+    /// that path, the prefix `w … u` exists in both graphs, so the
+    /// region found in `g_new` alone already covers every changed
+    /// vicinity, removals included. When `g_old` is given the region
+    /// is also searched there, which can only add nodes.
     pub fn refresh<G: Adjacency>(&mut self, g_new: &G, g_old: Option<&G>, touched: &[NodeId]) {
         assert_eq!(
             self.levels[0].len(),
             g_new.num_nodes(),
             "refresh cannot change the node count"
         );
-        let n = g_new.num_nodes();
-        let mut scratch = BfsScratch::new(n);
-        let mut dirty = Vec::new();
-        scratch.visit_h_vicinity(g_new, touched, self.max_level, |v, _| dirty.push(v));
-        if let Some(old) = g_old {
-            let mut dirty_old = Vec::new();
-            scratch.visit_h_vicinity(old, touched, self.max_level, |v, _| dirty_old.push(v));
-            dirty.extend(dirty_old);
-            dirty.sort_unstable();
-            dirty.dedup();
-        }
+        let mut scratch = BfsScratch::new(g_new.num_nodes());
+        let dirty = dirty_region(&mut scratch, g_new, g_old, touched, self.max_level);
         let use_bitset = BfsKernel::Auto.use_bitset(g_new, self.max_level);
         let mut counts = vec![0u32; self.max_level as usize + 1];
         for &v in &dirty {
@@ -245,6 +242,28 @@ impl VicinityIndex {
         next.refresh(g_new, g_old, touched);
         next
     }
+}
+
+/// The nodes [`VicinityIndex::refresh`] recomputes: everything within
+/// `max_level − 1` hops of `touched` in `g_new` and, when given, in
+/// `g_old` (at `max_level = 1`, just the touched nodes, whose degrees
+/// changed). Sorted and deduplicated when `g_old` is given.
+fn dirty_region<G: Adjacency>(
+    scratch: &mut BfsScratch,
+    g_new: &G,
+    g_old: Option<&G>,
+    touched: &[NodeId],
+    max_level: u32,
+) -> Vec<NodeId> {
+    let depth = max_level - 1;
+    let mut dirty = Vec::new();
+    scratch.visit_h_vicinity(g_new, touched, depth, |v, _| dirty.push(v));
+    if let Some(old) = g_old {
+        scratch.visit_h_vicinity(old, touched, depth, |v, _| dirty.push(v));
+        dirty.sort_unstable();
+        dirty.dedup();
+    }
+    dirty
 }
 
 /// Per-depth first-reach counts of a `max_level`-hop BFS from `v`,
@@ -358,6 +377,21 @@ mod tests {
         let g_new = path5();
         idx.refresh(&g_new, Some(&g_old), &[0, 4]);
         assert_eq!(idx, VicinityIndex::build(&g_new, 3));
+    }
+
+    #[test]
+    fn dirty_region_stops_at_max_level_minus_one_hops() {
+        let g = path5();
+        let mut scratch = BfsScratch::new(5);
+        let sorted = |mut v: Vec<NodeId>| {
+            v.sort_unstable();
+            v
+        };
+        let region = dirty_region(&mut scratch, &g, None, &[0], 3);
+        assert_eq!(sorted(region), [0, 1, 2]);
+        let region = dirty_region(&mut scratch, &g, Some(&g), &[0], 3);
+        assert_eq!(region, [0, 1, 2]);
+        assert_eq!(dirty_region(&mut scratch, &g, None, &[0, 4], 1), [0, 4]);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use tesc_events::store::merge_union;
 use tesc_events::NodeMask;
 use tesc_graph::csr::from_edges;
+use tesc_graph::generators::barabasi_albert;
 use tesc_graph::{BfsScratch, VicinityIndex};
 use tesc_stats::kendall::{
     kendall_tau, pair_counts_exact, pair_counts_merge, var_s_no_ties, var_s_tie_corrected,
@@ -233,28 +234,51 @@ fn vicinity_index_matches_direct_bfs() {
 #[test]
 fn incremental_vicinity_update_equals_rebuild_at_every_step() {
     // The ingestion invariant of the versioned TescContext: random
-    // edge-insertion sequences, refreshed incrementally around the new
-    // endpoints, must match a from-scratch rebuild after *every*
-    // insertion (not just at the end — intermediate divergence would
-    // compound silently).
+    // multi-edge insertion sequences, refreshed incrementally around
+    // the new endpoints, must match a from-scratch rebuild after
+    // *every* delta (not just at the end — intermediate divergence
+    // would compound silently). Each delta is also removed again:
+    // refreshing the new graph's index back to the old graph must land
+    // on the old graph's index, whether or not the new graph is passed
+    // as `g_old` (the region found in the post-change graph suffices).
+    // Barabási–Albert graphs put hub endpoints into the deltas.
     for case in 0..CASES / 8 {
         let mut rng = StdRng::seed_from_u64(12_000 + case);
-        let (n, g0) = random_graph(&mut rng);
-        let max_level = rng.gen_range(1u32..=3);
+        let (n, g0) = if case % 2 == 0 {
+            random_graph(&mut rng)
+        } else {
+            let n = rng.gen_range(10usize..60);
+            (n, barabasi_albert(n, rng.gen_range(1..=3), &mut rng))
+        };
+        let max_level = (case % 3) as u32 + 1;
         let mut g = g0;
         let mut idx = VicinityIndex::build(&g, max_level);
         for step in 0..12 {
-            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
-            if u == v || g.has_edge(u, v) {
+            let delta: Vec<(u32, u32)> = (0..rng.gen_range(1..=4))
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+                .filter(|&(u, v)| u != v && !g.has_edge(u, v))
+                .collect();
+            if delta.is_empty() {
                 continue;
             }
-            let g_next = g.with_edges(&[(u, v)]);
-            idx.refresh(&g_next, None, &[u, v]);
+            let touched: Vec<u32> = delta.iter().flat_map(|&(u, v)| [u, v]).collect();
+            let g_next = g.with_edges(&delta);
+            let grown = idx.refreshed(&g_next, None, &touched);
             assert_eq!(
-                idx,
+                grown,
                 VicinityIndex::build(&g_next, max_level),
-                "case {case}, step {step}: insertion ({u},{v}) at h ≤ {max_level}"
+                "case {case}, step {step}: insertion {delta:?} at h ≤ {max_level}"
             );
+            for g_old in [Some(&g_next), None] {
+                assert_eq!(
+                    grown.refreshed(&g, g_old, &touched),
+                    idx,
+                    "case {case}, step {step}: removal {delta:?} at h ≤ {max_level}, \
+                     g_old given: {}",
+                    g_old.is_some()
+                );
+            }
+            idx = grown;
             g = g_next;
         }
     }
